@@ -1,34 +1,26 @@
-"""Scaling curves for the sparse linear-algebra core (300 → 10000 buses).
+"""Scaling curves for the sparse linear-algebra path (300 → 10000 buses).
 
-Each (case, backend) combination runs the full analysis pipeline —
-matrix encode, PTDF/LODF sensitivities, WLS estimation, and a warm
-shift-factor OPF sweep — in its *own subprocess* so that
-
-* peak RSS is a per-combination measurement, not polluted by earlier
-  combinations in the same process, and
-* the dense backend can be given a hard wall-clock budget
-  (``DENSE_BUDGET_SECONDS``) and recorded as DNF when it blows it,
-  without hanging the benchmark.
+Each case runs the full analysis pipeline — matrix encode, PTDF/LODF
+sensitivities, WLS estimation, and a warm shift-factor OPF sweep — in
+its *own subprocess*, so peak RSS is a per-case measurement, not
+polluted by earlier cases in the same process, and a runaway case is
+stopped by a hard timeout instead of hanging the benchmark.
 
 Each stage runs twice: an *untraced* pass for the reported seconds and
-a tracemalloc pass for the allocation high-water mark.  The passes are
-separate because tracemalloc hooks every allocation, which penalizes
-the pure-numpy sparse kernels (many small arrays in Python loops)
-roughly 10x while leaving dense BLAS calls almost untouched — timing
-under tracing would invert the comparison the gate is about.
+a tracemalloc pass for the allocation high-water mark (tracemalloc
+hooks every allocation and would distort the timings).
 
-Gates (the ISSUE's acceptance criteria):
+Gates:
 
-* sparse beats dense wherever dense completes, from 300 buses up
-  (a dense DNF counts as beaten);
-* synth2869 sparse completes inside the budget that dense cannot;
+* every case completes;
+* the synth2869 pipeline finishes inside ``BUDGET_SECONDS``;
 * Sherman–Morrison rank-1 outage updates are measurably faster than
-  refactorizing from scratch.
+  refactorizing from scratch at synth1354 and synth2869.
 
 Results are written to ``BENCH_scaling.json`` at the repository root.
-Run a single combination by hand with::
+Run a single case by hand with::
 
-    PYTHONPATH=src python -m benchmarks.bench_scaling synth1354 sparse
+    PYTHONPATH=src python -m benchmarks.bench_scaling synth1354
 """
 
 import json
@@ -45,22 +37,13 @@ import pytest
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_scaling.json"
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Wall-clock budget for a dense pipeline run.  Documented in CI and in
-#: README ("Scaling the grid axis"): the sparse backend must finish the
-#: synth2869 pipeline inside this budget; dense must not.
-DENSE_BUDGET_SECONDS = 60
-#: Safety timeout for sparse children (they should finish far sooner).
-SPARSE_TIMEOUT_SECONDS = 600
+#: Wall-clock budget for the synth2869 pipeline (README "Scaling the
+#: grid axis").
+BUDGET_SECONDS = 60
+#: Safety timeout for a child (it should finish far sooner).
+CHILD_TIMEOUT_SECONDS = 600
 
-#: (case, dense_attempted).  Dense at 10000 buses is skipped outright:
-#: the O(b^3) factorizations and the O(m^2) explicit weight matrix are
-#: beyond any budget worth burning CI time on.
-COMBOS = (
-    ("synth300", True),
-    ("synth1354", True),
-    ("synth2869", True),
-    ("synth10000", False),
-)
+CASES = ("synth300", "synth1354", "synth2869", "synth10000")
 
 LODF_SAMPLES = 12
 ROW_SAMPLES = 4
@@ -68,7 +51,7 @@ SWEEP_CHANGES = 6
 RANK1_SAMPLES = 8
 
 
-# -- child: one (case, backend) pipeline --------------------------------
+# -- child: one case's pipeline -----------------------------------------
 
 def _non_bridge_sample(grid, lines, count, seed):
     """Deterministic sample of outage-safe (non-bridge) lines."""
@@ -84,7 +67,7 @@ def _non_bridge_sample(grid, lines, count, seed):
     return picked
 
 
-def run_pipeline(case_name, backend):
+def run_pipeline(case_name):
     """Run the four-stage pipeline; returns a JSON-ready dict."""
     from repro.benchlib import profile_resources, measured
     from repro.estimation.measurement import MeasurementPlan
@@ -113,16 +96,16 @@ def run_pipeline(case_name, backend):
         return result
 
     def encode():
-        susceptance_matrix(grid, reduced=True, backend=backend)
-        flow_matrix(grid, backend=backend)
-        measurement_matrix(grid, backend=backend)
+        susceptance_matrix(grid, reduced=True)
+        flow_matrix(grid)
+        measurement_matrix(grid)
 
     record("encode", encode)
 
     outages = _non_bridge_sample(grid, all_lines, LODF_SAMPLES, seed=7)
 
     def ptdf_lodf():
-        factors = compute_ptdf(grid, backend=backend)
+        factors = compute_ptdf(grid)
         factors.columns(sorted(grid.generators))
         for line in outages:
             lodf_column(factors, line)
@@ -135,174 +118,119 @@ def run_pipeline(case_name, backend):
     def wls():
         plan = MeasurementPlan.full(grid)
         m = len(plan.taken_indices())
-        estimator = WlsEstimator(plan, weights=np.ones(m),
-                                 backend=backend)
+        estimator = WlsEstimator(plan, weights=np.ones(m))
         rng = np.random.default_rng(3)
         x_true = rng.normal(size=grid.num_buses - 1)
-        z = (estimator.H.matvec(x_true) if backend == "sparse"
-             else estimator.H @ x_true)
-        estimator.estimate(z)
+        estimator.estimate(estimator.H @ x_true)
 
     record("wls", wls)
 
     def warm_sweep():
-        opf = ShiftFactorOpf(grid, backend=backend)
+        opf = ShiftFactorOpf(grid)
         opf.solve()
         for line in outages[:SWEEP_CHANGES]:
             opf.solve(change=TopologyChange("exclude", line))
 
     record("warm_sweep", warm_sweep)
 
-    result = {
+    # Rank-1 Sherman-Morrison outage solve vs refactorize-and-solve.
+    rng = np.random.default_rng(11)
+    rhs = rng.normal(size=grid.num_buses - 1)
+    rank1_lines = outages[:RANK1_SAMPLES]
+    _, update_s = measured(lambda: [
+        factors.outage_update(line).solve(rhs) for line in rank1_lines])
+    _, refact_s = measured(lambda: [
+        compute_ptdf(grid, [l for l in all_lines if l != line])
+        .factorization.solve(rhs) for line in rank1_lines])
+    return {
         "case": case_name,
-        "backend": backend,
         "status": "ok",
         "total_seconds": round(
             sum(s["seconds"] for s in stages.values()), 4),
         "stages": stages,
-    }
-
-    if backend == "sparse":
-        # Rank-1 Sherman-Morrison outage solve vs refactorize-and-solve.
-        rng = np.random.default_rng(11)
-        rhs = rng.normal(size=grid.num_buses - 1)
-        rank1_lines = outages[:RANK1_SAMPLES]
-        _, update_s = measured(lambda: [
-            factors.outage_update(line).solve(rhs)
-            for line in rank1_lines])
-        _, refact_s = measured(lambda: [
-            compute_ptdf(grid, [l for l in all_lines if l != line],
-                         backend="sparse").factorization.solve(rhs)
-            for line in rank1_lines])
-        result["rank1"] = {
+        "rank1": {
             "outages": len(rank1_lines),
             "update_seconds": round(update_s, 4),
             "refactorize_seconds": round(refact_s, 4),
             "speedup": round(refact_s / update_s, 2)
             if update_s > 0 else float("inf"),
-        }
-    return result
+        },
+    }
 
 
 # -- parent: orchestrate subprocesses, gate, write artifact -------------
 
-def _run_child(case_name, backend):
+def _run_child(case_name):
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    # The child runs every stage twice (timing pass + memory pass), so
-    # its wall clock is ~2x the timed total.  The budget applies to the
-    # *timed* total, checked by the parent below; the child timeout is
-    # generous so a merely-over-budget dense run still reports its
-    # measured curves ("over_budget") instead of being killed ("dnf").
-    timeout = (7 * DENSE_BUDGET_SECONDS if backend == "dense"
-               else SPARSE_TIMEOUT_SECONDS)
     started = time.perf_counter()
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "benchmarks.bench_scaling",
-             case_name, backend],
-            cwd=REPO_ROOT, env=env, timeout=timeout,
+            [sys.executable, "-m", "benchmarks.bench_scaling", case_name],
+            cwd=REPO_ROOT, env=env, timeout=CHILD_TIMEOUT_SECONDS,
             capture_output=True, text=True)
     except subprocess.TimeoutExpired:
         return {"status": "dnf",
-                "budget_seconds": timeout,
+                "budget_seconds": CHILD_TIMEOUT_SECONDS,
                 "elapsed_seconds": round(
                     time.perf_counter() - started, 1)}
     if proc.returncode != 0:
-        raise RuntimeError(
-            f"{case_name}/{backend} child failed:\n{proc.stderr}")
+        raise RuntimeError(f"{case_name} child failed:\n{proc.stderr}")
     line = [l for l in proc.stdout.splitlines() if l.strip()][-1]
     return json.loads(line)
 
 
 @pytest.mark.paper("Sec. VI scalability (1k-10k bus growth curves)")
-def test_scaling_sparse_vs_dense(benchmark):
+def test_scaling_pipeline(benchmark):
     from repro.grid.cases import get_case
     results = {}
 
     def run_all():
-        for case_name, dense_attempted in COMBOS:
-            entry = {"sparse": _run_child(case_name, "sparse")}
-            if dense_attempted:
-                dense = _run_child(case_name, "dense")
-                if (dense.get("status") == "ok"
-                        and dense["total_seconds"]
-                        > DENSE_BUDGET_SECONDS):
-                    dense = {**dense, "status": "over_budget",
-                             "budget_seconds": DENSE_BUDGET_SECONDS}
-                entry["dense"] = dense
-            else:
-                entry["dense"] = {
-                    "status": "skipped",
-                    "reason": "dense pipeline at 10000 buses is beyond "
-                              "any useful budget (O(b^3) factorizations, "
-                              "O(m^2) explicit weight matrix)",
-                }
-            results[case_name] = entry
+        for case_name in CASES:
+            results[case_name] = _run_child(case_name)
         return results
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
 
-    rank1 = {}
     rows = []
-    for case_name, _ in COMBOS:
+    for case_name in CASES:
         case = get_case(case_name)
-        entry = results[case_name]
-        sparse, dense = entry["sparse"], entry["dense"]
-        # Gate 1: the sparse pipeline always completes.
-        assert sparse["status"] == "ok", (case_name, sparse)
-        if "rank1" in sparse:
-            rank1[case_name] = sparse["rank1"]
-        # Gate 2: sparse beats dense from 300 buses up (a dense DNF
-        # counts as beaten).
-        if dense["status"] == "ok":
-            assert sparse["total_seconds"] < dense["total_seconds"], \
-                (case_name, sparse["total_seconds"],
-                 dense["total_seconds"])
-            dense_cell = f"{dense['total_seconds']:.2f}"
-        else:
-            dense_cell = dense["status"]
+        result = results[case_name]
+        # Gate 1: the pipeline always completes.
+        assert result["status"] == "ok", (case_name, result)
         rows.append((case_name, str(case.num_buses), str(case.num_lines),
-                     f"{sparse['total_seconds']:.2f}", dense_cell,
-                     f"{sparse['rank1']['speedup']:.1f}x"
-                     if "rank1" in sparse else "-"))
+                     f"{result['total_seconds']:.2f}",
+                     f"{result['rank1']['speedup']:.1f}x"))
 
-    # Gate 3: synth2869 sparse fits the budget dense cannot.
-    assert results["synth2869"]["dense"]["status"] in (
-        "dnf", "over_budget")
-    assert results["synth2869"]["sparse"]["total_seconds"] \
-        < DENSE_BUDGET_SECONDS
-    # Gate 4: rank-1 updates measurably beat refactorization at scale.
+    # Gate 2: synth2869 fits the pipeline budget.
+    assert results["synth2869"]["total_seconds"] < BUDGET_SECONDS
+    # Gate 3: rank-1 updates measurably beat refactorization at scale.
     for case_name in ("synth1354", "synth2869"):
-        assert rank1[case_name]["speedup"] > 1.0, (case_name,
-                                                   rank1[case_name])
+        rank1 = results[case_name]["rank1"]
+        assert rank1["speedup"] > 1.0, (case_name, rank1)
 
     from repro.benchlib import format_table
     print()
     print(format_table(
-        f"pipeline scaling, sparse vs dense "
-        f"(dense budget {DENSE_BUDGET_SECONDS}s)",
-        ("case", "buses", "lines", "sparse s", "dense s",
-         "rank-1 speedup"),
+        f"pipeline scaling (budget {BUDGET_SECONDS}s at synth2869)",
+        ("case", "buses", "lines", "seconds", "rank-1 speedup"),
         rows))
 
     ARTIFACT.write_text(json.dumps({
         "benchmark": "scaling",
-        "dense_budget_seconds": DENSE_BUDGET_SECONDS,
+        "budget_seconds": BUDGET_SECONDS,
         "stages": ["encode", "ptdf_lodf", "wls", "warm_sweep"],
         "cases": {
             name: {
                 "buses": get_case(name).num_buses,
                 "lines": get_case(name).num_lines,
                 **results[name],
-            } for name, _ in COMBOS
+            } for name in CASES
         },
-        "rank1_update": rank1,
     }, indent=2) + "\n")
     print(f"artifact written: {ARTIFACT}")
 
 
 if __name__ == "__main__":
-    case_arg, backend_arg = sys.argv[1], sys.argv[2]
-    print(json.dumps(run_pipeline(case_arg, backend_arg)))
+    print(json.dumps(run_pipeline(sys.argv[1])))

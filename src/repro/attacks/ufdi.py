@@ -86,9 +86,8 @@ def restricted_attack_space(attacker: AttackerModel,
     ]
     if not protected_rows:
         return np.eye(grid.num_buses - 1)
-    H_protected = H[protected_rows, :]
-    # Null space via SVD.
-    _, singular, vt = np.linalg.svd(H_protected)
+    # Null space via SVD of the (small, dense) protected rows.
+    _, singular, vt = np.linalg.svd(H[protected_rows].toarray())
     rank = int(np.sum(singular > tolerance))
     return vt[rank:].T
 

@@ -105,10 +105,8 @@ class FastSearchStrategy(SearchStrategy):
 
     kind = "fast"
 
-    def __init__(self, case: CaseDefinition,
-                 backend: Optional[str] = None) -> None:
+    def __init__(self, case: CaseDefinition) -> None:
         self.case = case
-        self.backend = backend
         self._base_cost = Fraction(0)
         self.evaluations: List[CandidateEvaluation] = []
         self.attacker: Optional[AttackerModel] = None
@@ -138,8 +136,7 @@ class FastSearchStrategy(SearchStrategy):
         case, grid = self.case, self.session.grid
         self.attacker = AttackerModel.from_case(case, grid)
         self.base_topology = [l.index for l in grid.lines if l.in_service]
-        self._sf_opf = ShiftFactorOpf(grid, self.base_topology,
-                                      backend=self.backend)
+        self._sf_opf = ShiftFactorOpf(grid, self.base_topology)
         base = self._sf_opf.solve()
         self._prepare_seconds = time.perf_counter() - built
         if not base.feasible:
@@ -694,12 +691,10 @@ class FastImpactAnalyzer:
     """
 
     def __init__(self, case: CaseDefinition,
-                 preflight: bool = True,
-                 backend: Optional[str] = None) -> None:
-        self._strategy = FastSearchStrategy(case, backend=backend)
+                 preflight: bool = True) -> None:
+        self._strategy = FastSearchStrategy(case)
         self.session = AnalysisSession(case, self._strategy,
-                                       preflight=preflight,
-                                       backend=backend)
+                                       preflight=preflight)
 
     @property
     def case(self) -> CaseDefinition:

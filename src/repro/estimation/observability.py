@@ -20,33 +20,26 @@ from typing import Dict, Iterable, List, Optional, Set
 from repro.estimation.measurement import MeasurementPlan, MeasurementType
 from repro.grid.matrices import measurement_matrix
 from repro.grid.network import Grid
-from repro.numerics import guarded_rank, resolve_backend
+from repro.numerics import guarded_rank
 
 
 def is_numerically_observable(plan: MeasurementPlan,
                               topology: Optional[Iterable[int]] = None,
-                              taken: Optional[Iterable[int]] = None,
-                              backend: Optional[str] = None) -> bool:
+                              taken: Optional[Iterable[int]] = None
+                              ) -> bool:
     """Rank test: do the taken measurements determine all states?
 
     Uses the guarded, matrix-scaled rank so a *near*-rank-deficient
     configuration (which would estimate garbage) reads as unobservable
-    instead of slipping past numpy's machine-epsilon tolerance.  On the
-    sparse backend the rank is taken on the gain matrix H^T H (same
-    rank as H for real entries), which keeps the test sparse end to end.
+    instead of slipping past numpy's machine-epsilon tolerance.  H stays
+    sparse; on large systems the rank comes from the LU of H^T H.
     """
     grid = plan.grid
     taken_list = sorted(taken) if taken is not None else plan.taken_indices()
     if not taken_list:
         return grid.num_buses <= 1
-    rows = [i - 1 for i in taken_list]
-    if resolve_backend(backend, grid.num_buses) == "sparse":
-        H = measurement_matrix(grid, topology,
-                               backend="sparse").select_rows(rows)
-        rank = guarded_rank(H.gram(), context="measurement matrix")
-    else:
-        H = measurement_matrix(grid, topology)[rows, :]
-        rank = guarded_rank(H, context="measurement matrix")
+    H = measurement_matrix(grid, topology)[[i - 1 for i in taken_list]]
+    rank = guarded_rank(H, context="measurement matrix")
     return rank == grid.num_buses - 1
 
 

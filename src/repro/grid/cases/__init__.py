@@ -45,7 +45,7 @@ _REGISTRY: Dict[str, Callable[[], CaseDefinition]] = {
 #: The bus-count sweep of the paper's scalability evaluation (Section IV).
 SCALABILITY_SWEEP = ["5bus-study2", "ieee14", "ieee30", "ieee57", "ieee118"]
 
-#: The thousand-bus scaling axis enabled by the sparse backend.
+#: The thousand-bus scaling axis enabled by sparse factorization.
 SCALING_SWEEP = ["synth300", "synth1354", "synth2869", "synth10000"]
 
 

@@ -152,11 +152,10 @@ def _scaling_case(name: str, num_buses: int, num_lines: int,
     (span <= 512) bound the graph's effective diameter: without them a
     chain-of-thousands backbone drives the susceptance spectrum's
     spread (and hence the WLS gain matrix's) to the 1e-8 rank cutoff,
-    where the dense SVD and sparse LU-pivot rank criteria start
-    disagreeing about observability; with *global* ties instead, RCM
-    cannot recover a narrow profile and sparse LU fill-in explodes.
-    This middle ground keeps cond(B) ~ 1e5-1e6 at 2869 buses (gain
-    rank decisively full on both backends) at ~7x-the-matrix fill.
+    where an LU-pivot rank decision turns fragile; with *global* ties
+    instead, fill-reducing orderings cannot recover a narrow profile
+    and LU fill-in explodes.  This middle ground keeps cond(B) ~
+    1e5-1e6 at 2869 buses, so the gain rank is decisively full.
     """
     return synthetic_case(name, num_buses, num_lines, num_generators,
                           seed, span=8, tie_probability=0.06,

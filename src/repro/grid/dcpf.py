@@ -14,14 +14,9 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from repro.exceptions import ModelError
-from repro.grid.matrices import (
-    active_lines,
-    connectivity_matrix,
-    admittance_matrix,
-    susceptance_matrix,
-)
+from repro.grid.matrices import active_lines, susceptance_matrix
 from repro.grid.network import Grid
-from repro.numerics import guarded_solve, resolve_backend
+from repro.numerics import guarded_solve
 
 
 @dataclass
@@ -70,8 +65,7 @@ def net_injections(grid: Grid,
 def solve_dc_power_flow(grid: Grid,
                         dispatch: Optional[Dict[int, float]] = None,
                         loads: Optional[Dict[int, float]] = None,
-                        line_indices: Optional[Iterable[int]] = None,
-                        backend: Optional[str] = None
+                        line_indices: Optional[Iterable[int]] = None
                         ) -> DcPowerFlowResult:
     """Solve the DC power flow for the given dispatch and topology.
 
@@ -86,8 +80,7 @@ def solve_dc_power_flow(grid: Grid,
     injections = net_injections(grid, dispatch, loads)
     ref = grid.reference_bus - 1
     keep = [i for i in range(grid.num_buses) if i != ref]
-    resolved = resolve_backend(backend, grid.num_buses)
-    B = susceptance_matrix(grid, lines, reduced=True, backend=resolved)
+    B = susceptance_matrix(grid, lines, reduced=True)
     try:
         theta_reduced = guarded_solve(B, injections[keep],
                                       context="DC power flow "

@@ -19,13 +19,12 @@ Conventions (matching the paper):
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
-from repro.exceptions import ModelError
 from repro.grid.network import Grid
-from repro.numerics.sparse import CsrMatrix
 
 
 def _active_line_list(grid: Grid,
@@ -33,12 +32,6 @@ def _active_line_list(grid: Grid,
     if line_indices is None:
         return [line.index for line in grid.lines if line.in_service]
     return sorted(set(line_indices))
-
-
-def _check_backend(backend: str) -> None:
-    if backend not in ("dense", "sparse"):
-        raise ValueError(f"matrix builders take backend='dense' or "
-                         f"'sparse', got {backend!r}")
 
 
 def _line_terminals(grid: Grid, active: List[int]):
@@ -54,30 +47,34 @@ def _line_terminals(grid: Grid, active: List[int]):
     return f, t, y
 
 
+def _state_columns(grid: Grid) -> np.ndarray:
+    """Bus (0-based) -> state column, ``-1`` for the reference bus."""
+    ref = grid.reference_bus - 1
+    columns = np.arange(grid.num_buses, dtype=np.int64)
+    columns[ref + 1:] -= 1
+    columns[ref] = -1
+    return columns
+
+
+def _stamp(rows, cols, vals, shape) -> sp.csr_matrix:
+    """CSR from triplets, summing duplicate entries."""
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
+
+
 def connectivity_matrix(grid: Grid,
-                        line_indices: Optional[Iterable[int]] = None,
-                        backend: str = "dense"):
+                        line_indices: Optional[Iterable[int]] = None
+                        ) -> sp.csr_matrix:
     """The l_active x b connectivity (incidence) matrix **A**.
 
     Rows follow the order of ``sorted(line_indices)``; use
-    :func:`active_lines` for the row-to-line mapping.  With
-    ``backend="sparse"`` the result is a :class:`CsrMatrix`.
+    :func:`active_lines` for the row-to-line mapping.
     """
-    _check_backend(backend)
     active = _active_line_list(grid, line_indices)
-    if backend == "sparse":
-        f, t, _ = _line_terminals(grid, active)
-        rows = np.repeat(np.arange(len(active), dtype=np.int64), 2)
-        cols = np.column_stack([f, t]).ravel()
-        vals = np.tile(np.array([1.0, -1.0]), len(active))
-        return CsrMatrix.from_coo(rows, cols, vals,
-                                  (len(active), grid.num_buses))
-    matrix = np.zeros((len(active), grid.num_buses))
-    for row, line_index in enumerate(active):
-        line = grid.line(line_index)
-        matrix[row, line.from_bus - 1] = 1.0
-        matrix[row, line.to_bus - 1] = -1.0
-    return matrix
+    f, t, _ = _line_terminals(grid, active)
+    rows = np.repeat(np.arange(len(active), dtype=np.int64), 2)
+    cols = np.column_stack([f, t]).ravel()
+    vals = np.tile(np.array([1.0, -1.0]), len(active))
+    return _stamp(rows, cols, vals, (len(active), grid.num_buses))
 
 
 def active_lines(grid: Grid,
@@ -88,10 +85,9 @@ def active_lines(grid: Grid,
 
 def admittance_matrix(grid: Grid,
                       line_indices: Optional[Iterable[int]] = None
-                      ) -> np.ndarray:
+                      ) -> sp.csr_matrix:
     """The diagonal branch admittance matrix **D** for the active lines."""
-    active = _active_line_list(grid, line_indices)
-    return np.diag([float(grid.line(i).admittance) for i in active])
+    return sp.diags(admittance_values(grid, line_indices), format="csr")
 
 
 def admittance_values(grid: Grid,
@@ -103,55 +99,38 @@ def admittance_values(grid: Grid,
 
 
 def flow_matrix(grid: Grid,
-                line_indices: Optional[Iterable[int]] = None,
-                backend: str = "dense"):
+                line_indices: Optional[Iterable[int]] = None
+                ) -> sp.csr_matrix:
     """The flow operator ``D A`` (line flows per bus angle vector)."""
-    _check_backend(backend)
-    active = _active_line_list(grid, line_indices)
-    y = admittance_values(grid, active)
-    A = connectivity_matrix(grid, active, backend=backend)
-    if backend == "sparse":
-        return A.scale_rows(y)
-    return y[:, None] * A
+    return (admittance_matrix(grid, line_indices)
+            @ connectivity_matrix(grid, line_indices)).tocsr()
 
 
 def susceptance_matrix(grid: Grid,
                        line_indices: Optional[Iterable[int]] = None,
-                       reduced: bool = True,
-                       backend: str = "dense"):
+                       reduced: bool = True) -> sp.csr_matrix:
     """The nodal susceptance matrix ``B = A^T D A``.
 
     With ``reduced=True`` the reference-bus row and column are removed,
     yielding the invertible (b-1)-dimensional matrix of ``B theta = P``.
-    With ``backend="sparse"`` the result is a :class:`CsrMatrix` built
-    directly from per-line stamps (no dense intermediates).
+    Built directly from per-line stamps.
     """
-    _check_backend(backend)
     b = grid.num_buses
-    ref = grid.reference_bus - 1
-    if backend == "sparse":
-        active = _active_line_list(grid, line_indices)
-        f, t, y = _line_terminals(grid, active)
-        rows = np.concatenate([f, t, f, t])
-        cols = np.concatenate([f, t, t, f])
-        vals = np.concatenate([y, y, -y, -y])
-        B = CsrMatrix.from_coo(rows, cols, vals, (b, b))
-        if not reduced:
-            return B
-        keep = [i for i in range(b) if i != ref]
-        return B.select_rows(keep).select_columns(keep)
-    A = connectivity_matrix(grid, line_indices)
-    D = admittance_matrix(grid, line_indices)
-    B = A.T @ D @ A
+    f, t, y = _line_terminals(grid, _active_line_list(grid, line_indices))
+    rows = np.concatenate([f, t, f, t])
+    cols = np.concatenate([f, t, t, f])
+    vals = np.concatenate([y, y, -y, -y])
     if not reduced:
-        return B
-    keep = [i for i in range(b) if i != ref]
-    return B[np.ix_(keep, keep)]
+        return _stamp(rows, cols, vals, (b, b))
+    states = _state_columns(grid)
+    rows, cols = states[rows], states[cols]
+    kept = (rows >= 0) & (cols >= 0)
+    return _stamp(rows[kept], cols[kept], vals[kept], (b - 1, b - 1))
 
 
 def measurement_matrix(grid: Grid,
-                       line_indices: Optional[Iterable[int]] = None,
-                       backend: str = "dense"):
+                       line_indices: Optional[Iterable[int]] = None
+                       ) -> sp.csr_matrix:
     """The full potential-measurement matrix **H** (paper Eq. 2).
 
     Shape is ``(2 * l + b, b - 1)``: every *potential* measurement gets a
@@ -163,53 +142,23 @@ def measurement_matrix(grid: Grid,
     * rows ``l .. 2l-1`` — backward flow of line ``i+1-l``,
     * rows ``2l .. 2l+b-1`` — consumption at bus ``j+1-2l``.
 
-    With ``backend="sparse"`` the result is a :class:`CsrMatrix` with
-    the same row/column layout.
+    Consumption follows paper Eq. 8 (incoming minus outgoing): the flow
+    ``(theta_f - theta_t) * y`` leaves bus f and enters bus t.
     """
-    _check_backend(backend)
     l = grid.num_lines
     b = grid.num_buses
-    active = set(_active_line_list(grid, line_indices))
-    ref = grid.reference_bus - 1
-    keep = [i for i in range(b) if i != ref]
-
-    if backend == "sparse":
-        act = sorted(active)
-        f, t, y = _line_terminals(grid, act)
-        line_rows = np.array([grid.line(i).index - 1 for i in act],
-                             dtype=np.int64)
-        rows = np.concatenate([
-            line_rows, line_rows,                     # forward flows
-            line_rows + l, line_rows + l,             # backward flows
-            2 * l + f, 2 * l + f, 2 * l + t, 2 * l + t,
-        ])
-        cols = np.concatenate([f, t, f, t, f, t, f, t])
-        vals = np.concatenate([y, -y, -y, y, -y, y, y, -y])
-        H = CsrMatrix.from_coo(rows, cols, vals, (2 * l + b, b))
-        return H.select_columns(keep)
-
-    forward = np.zeros((l, b))
-    for line in grid.lines:
-        if line.index not in active:
-            continue
-        row = line.index - 1
-        forward[row, line.from_bus - 1] = float(line.admittance)
-        forward[row, line.to_bus - 1] = -float(line.admittance)
-    consumption = np.zeros((b, b))
-    for line in grid.lines:
-        if line.index not in active:
-            continue
-        # Consumption = incoming - outgoing (paper Eq. 8):
-        # the flow of an incoming line adds, an outgoing line subtracts.
-        y = float(line.admittance)
-        f, t = line.from_bus - 1, line.to_bus - 1
-        # Flow (theta_f - theta_t) * y leaves bus f and enters bus t.
-        consumption[f, f] -= y
-        consumption[f, t] += y
-        consumption[t, f] += y
-        consumption[t, t] -= y
-    H = np.vstack([forward, -forward, consumption])
-    return H[:, keep]
+    active = _active_line_list(grid, line_indices)
+    f, t, y = _line_terminals(grid, active)
+    line_rows = np.array(active, dtype=np.int64) - 1
+    rows = np.concatenate([
+        line_rows, line_rows,                     # forward flows
+        line_rows + l, line_rows + l,             # backward flows
+        2 * l + f, 2 * l + f, 2 * l + t, 2 * l + t,
+    ])
+    cols = _state_columns(grid)[np.concatenate([f, t, f, t, f, t, f, t])]
+    vals = np.concatenate([y, -y, -y, y, -y, y, y, -y])
+    kept = cols >= 0
+    return _stamp(rows[kept], cols[kept], vals[kept], (2 * l + b, b - 1))
 
 
 def state_order(grid: Grid) -> List[int]:

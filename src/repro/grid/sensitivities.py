@@ -11,13 +11,12 @@ and Overbye (HICSS 2001).
 All factors are relative to a *base topology* (a set of closed lines) and
 the grid's reference bus.
 
-Since the sparse-scaling refactor the factors are *lazy*: a single
-condition-guarded factorization of the reduced susceptance matrix backs
-every PTDF column/row, LODF/LCDF vector and Thévenin impedance as cached
-factorized solves — no explicit inverse is ever formed on either the
-dense or the sparse backend, and single-line outages/closures are
-Sherman–Morrison rank-1 updates of the base factorization rather than
-re-factorizations.
+The factors are *lazy*: one condition-guarded SuperLU factorization of
+the sparse reduced susceptance matrix backs every PTDF column/row,
+LODF/LCDF vector and Thévenin impedance as cached factorized solves.
+No explicit inverse is ever formed, and single-line outages/closures
+are Sherman–Morrison rank-1 updates of the base factorization rather
+than re-factorizations.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from repro.numerics import (
     WARNING,
     GuardedFactorization,
     UpdatedSolver,
-    resolve_backend,
 )
 from repro.numerics.diagnostics import NumericalDiagnostic, emit
 from repro.numerics.policy import default_policy
@@ -62,14 +60,13 @@ class SensitivityFactors:
       bus-pair quantities behind LODF/LCDF.
     """
 
-    def __init__(self, grid: Grid, lines: List[int], backend: str,
+    def __init__(self, grid: Grid, lines: List[int],
                  factorization: GuardedFactorization, flow_operator,
                  ) -> None:
         self.grid = grid
         self.lines = lines
-        self.backend = backend
         self.factorization = factorization
-        self._flow = flow_operator            # D A, full b columns
+        self._flow = flow_operator            # sparse D A, full b columns
         ref = grid.reference_bus - 1
         self._ref = ref
         self._keep = np.array(
@@ -93,8 +90,6 @@ class SensitivityFactors:
         else:
             theta = np.zeros((self.grid.num_buses, theta_reduced.shape[1]))
             theta[self._keep] = theta_reduced
-        if self.backend == "sparse":
-            return self._flow.matvec(theta)
         return self._flow @ theta
 
     def _reduced(self, injections: np.ndarray) -> np.ndarray:
@@ -179,13 +174,7 @@ class SensitivityFactors:
         cached = self._row_cache.get(line_index)
         if cached is not None:
             return cached
-        r = self.row_of(line_index)
-        if self.backend == "sparse":
-            flow_row = np.zeros(self.grid.num_buses)
-            start, end = self._flow.indptr[r], self._flow.indptr[r + 1]
-            flow_row[self._flow.indices[start:end]] = self._flow.data[start:end]
-        else:
-            flow_row = self._flow[r]
+        flow_row = self._flow[self.row_of(line_index)].toarray().ravel()
         solved = self.factorization.solve(flow_row[self._keep])
         row = np.zeros(self.grid.num_buses)
         row[self._keep] = solved
@@ -298,26 +287,23 @@ def _check_admittance_spread(grid: Grid, lines: List[int]) -> None:
 
 
 def compute_ptdf(grid: Grid,
-                 line_indices: Optional[Iterable[int]] = None,
-                 backend: Optional[str] = None) -> SensitivityFactors:
+                 line_indices: Optional[Iterable[int]] = None
+                 ) -> SensitivityFactors:
     """Power Transfer Distribution Factors for a base topology.
 
-    ``backend`` picks the linear-algebra path (``dense``/``sparse``;
-    ``None``/``auto`` resolve by grid size).  The heavy work — one
-    condition-guarded factorization of the reduced susceptance matrix —
-    happens here; individual factors are lazy solves on the result.
+    The heavy work — one condition-guarded factorization of the reduced
+    susceptance matrix — happens here; individual factors are lazy
+    solves on the result.
     """
     lines = active_lines(grid, line_indices)
     if not grid.is_connected(lines):
         raise ModelError("PTDF requires a connected base topology")
     _check_admittance_spread(grid, lines)
-    resolved = resolve_backend(backend, grid.num_buses)
-    B = susceptance_matrix(grid, lines, reduced=True, backend=resolved)
-    flow_operator = flow_matrix(grid, lines, backend=resolved)
     factorization = GuardedFactorization(
-        B, context="PTDF base susceptance matrix")
-    return SensitivityFactors(grid, lines, resolved, factorization,
-                              flow_operator)
+        susceptance_matrix(grid, lines, reduced=True),
+        context="PTDF base susceptance matrix")
+    return SensitivityFactors(grid, lines, factorization,
+                              flow_matrix(grid, lines))
 
 
 def lodf_column(factors: SensitivityFactors, outaged_line: int) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Numerical-integrity guardrails for the analysis core.
 
-Condition-monitored, residual-verified linear algebra
+One linear-algebra path: ``scipy.sparse`` matrices factorized by
+SuperLU (``scipy.sparse.linalg.splu``) behind condition-monitored,
+residual-verified solves and a matrix-scaled rank
 (:mod:`repro.numerics.guards`), the warn/fail threshold policy
 (:mod:`repro.numerics.policy`) and the structured diagnostics the
 guards emit (:mod:`repro.numerics.diagnostics`).  Fail-level findings
@@ -11,14 +13,6 @@ instead of trusting silently-garbage floating point near the paper's
 Eq. 37 decision boundaries.
 """
 
-from repro.numerics.backend import (
-    BACKENDS,
-    SPARSE_AUTO_MIN_BUSES,
-    default_backend,
-    normalize_backend,
-    resolve_backend,
-    set_default_backend,
-)
 from repro.numerics.diagnostics import (
     FATAL,
     WARNING,
@@ -26,41 +20,31 @@ from repro.numerics.diagnostics import (
     collect_diagnostics,
 )
 from repro.numerics.guards import (
+    LARGE_SYSTEM_STATES,
     GuardedFactorization,
+    SingularMatrixError,
+    UpdatedSolver,
     guarded_inverse,
     guarded_rank,
     guarded_solve,
+    sparse_lu,
 )
 from repro.numerics.policy import NumericsPolicy, default_policy, set_policy
-from repro.numerics.sparse import (
-    CsrMatrix,
-    SingularMatrixError,
-    SparseLU,
-    UpdatedSolver,
-    rcm_ordering,
-)
 
 __all__ = [
-    "BACKENDS",
     "FATAL",
-    "SPARSE_AUTO_MIN_BUSES",
+    "LARGE_SYSTEM_STATES",
     "WARNING",
-    "CsrMatrix",
     "GuardedFactorization",
     "NumericalDiagnostic",
     "NumericsPolicy",
     "SingularMatrixError",
-    "SparseLU",
     "UpdatedSolver",
     "collect_diagnostics",
-    "default_backend",
     "default_policy",
     "guarded_inverse",
     "guarded_rank",
     "guarded_solve",
-    "normalize_backend",
-    "rcm_ordering",
-    "resolve_backend",
-    "set_default_backend",
     "set_policy",
+    "sparse_lu",
 ]

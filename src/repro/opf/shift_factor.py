@@ -12,13 +12,14 @@ the LP drops from ``b + g`` variables and ``b + 2l`` constraints to ``g``
 variables and at most ``2l + 1`` constraints, and the susceptance
 factorization is computed once per base topology.
 
-Since the sparse-scaling refactor the flow model is built from the
-*generator columns* of the PTDF (one batched factorized solve) plus one
-solve per demand vector — the full l x b PTDF array is never formed.  On
-the sparse backend the LP additionally uses *row generation*: it starts
-with no line-capacity rows and adds only the rows a candidate dispatch
-actually violates, so each solve touches the handful of shift-factor
-rows it binds instead of all ``2l``.  (The restricted LP is a relaxation
+The flow model is built from the *generator columns* of the PTDF (one
+batched factorized solve) plus one solve per demand vector — the full
+l x b PTDF array is never formed.  On large systems (at least
+:data:`~repro.numerics.LARGE_SYSTEM_STATES` non-reference buses) the LP
+additionally uses *row generation*: it starts with no line-capacity rows
+and adds only the rows a candidate dispatch actually violates, so each
+solve touches the handful of shift-factor rows it binds instead of all
+``2l``.  (The restricted LP is a relaxation
 of the full one, so an infeasible restriction proves infeasibility and a
 violation-free optimum is the true optimum.)
 """
@@ -41,7 +42,7 @@ from repro.grid.sensitivities import (
     lcdf_column,
     lodf_column,
 )
-from repro.numerics import resolve_backend
+from repro.numerics import LARGE_SYSTEM_STATES
 from repro.opf.dcopf import DcOpfResult
 from repro.smt.rational import to_fraction
 
@@ -70,20 +71,17 @@ class ShiftFactorOpf:
     """
 
     def __init__(self, grid: Grid,
-                 base_topology: Optional[Iterable[int]] = None,
-                 backend: Optional[str] = None) -> None:
+                 base_topology: Optional[Iterable[int]] = None) -> None:
         self.grid = grid
         self.base_lines = active_lines(grid, base_topology)
-        self.backend = resolve_backend(backend, grid.num_buses)
-        self.factors = compute_ptdf(grid, self.base_lines,
-                                    backend=self.backend)
+        self.factors = compute_ptdf(grid, self.base_lines)
         self.gen_buses = sorted(grid.generators)
         #: cumulative work counters for sweep traces.
         self.solve_calls = 0
         self.solve_seconds = 0.0
-        #: capacity rows materialized by row generation (sparse backend).
+        #: capacity rows materialized by row generation (large systems).
         self.rows_generated = 0
-        self._row_generation = self.backend == "sparse"
+        self._row_generation = grid.num_buses - 1 >= LARGE_SYSTEM_STATES
         self._gen_flow: Optional[np.ndarray] = None
         # Warm-started active sets per topology change, so bisection
         # loops re-solve with yesterday's binding rows already present.

@@ -344,16 +344,11 @@ def plan_units(specs: Sequence[ScenarioSpec], pending: Sequence[int],
     return units
 
 
-def build_analyzer(case, kind: str, warm: bool = False,
-                   backend: Optional[str] = None):
-    """The analyzer a resolved case runs on (warm = incremental SMT).
-
-    ``backend`` picks the fast analyzer's linear-algebra path; the SMT
-    analyzer works in exact rationals and ignores it.
-    """
+def build_analyzer(case, kind: str, warm: bool = False):
+    """The analyzer a resolved case runs on (warm = incremental SMT)."""
     if kind == "smt":
         return ImpactAnalyzer(case, incremental=warm)
-    return FastImpactAnalyzer(case, backend=backend)
+    return FastImpactAnalyzer(case)
 
 
 def execute_with_analyzer(spec: ScenarioSpec, fingerprint: str,
@@ -438,8 +433,7 @@ def execute_scenario(spec: ScenarioSpec, fingerprint: str = "",
         # decision mode keeps the cold single-shot path (bit-identical
         # witnesses).
         analyzer = build_analyzer(case, kind,
-                                  warm=spec.search == "maximize",
-                                  backend=spec.resolved_backend(case))
+                                  warm=spec.search == "maximize")
     except BudgetExhausted as exc:
         outcome.status = UNKNOWN
         outcome.error = exc.reason
@@ -507,9 +501,7 @@ def execute_scenario_group(specs: Sequence[ScenarioSpec],
                 continue
             kind = spec.resolved_analyzer(case)
             if analyzer is None:
-                analyzer = build_analyzer(
-                    case, kind, warm=True,
-                    backend=spec.resolved_backend(case))
+                analyzer = build_analyzer(case, kind, warm=True)
         except KeyboardInterrupt:
             # A SIGINT/SIGTERM mid-unit: hand the completed outcomes
             # back so the engine checkpoints them before re-raising —

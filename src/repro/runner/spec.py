@@ -25,7 +25,7 @@ from typing import Any, Dict, Optional
 
 from repro.exceptions import ModelError
 from repro.grid.caseio import CaseDefinition, parse_case, write_case
-from repro.numerics import BACKENDS, default_policy, resolve_backend
+from repro.numerics import default_policy
 from repro.smt.rational import to_fraction
 
 #: bump when the cached-result layout changes incompatibly.
@@ -48,7 +48,8 @@ from repro.smt.rational import to_fraction
 #: fingerprints/encoding groups carry the *resolved* backend, so results
 #: from the two numerical paths never alias — pre-v7 entries predate the
 #: sparse core and must not be served.
-CACHE_FORMAT_VERSION = 7
+#: v8: backend field removed (one linear-algebra path on scipy.sparse).
+CACHE_FORMAT_VERSION = 8
 
 #: bus count at and below which ``analyzer="auto"`` picks the full SMT
 #: framework (mirrors the paper's Section IV-A hybrid).
@@ -128,9 +129,6 @@ class ScenarioSpec:
     #: maximize-mode bisection tolerance as ``str(Fraction)`` (None uses
     #: :data:`repro.search.DEFAULT_TOLERANCE`).
     tolerance: Optional[str] = None
-    #: linear-algebra backend: "dense" | "sparse" | "auto"; None uses the
-    #: process default (see :mod:`repro.numerics.backend`).
-    backend: Optional[str] = None
     label: str = ""
 
     @classmethod
@@ -140,16 +138,12 @@ class ScenarioSpec:
               target=None, with_state_infection: bool = False,
               max_candidates: int = 60, state_samples: int = 24,
               sample_seed: int = 0, search: str = "decision",
-              tolerance=None, backend: Optional[str] = None,
-              label: str = "") -> "ScenarioSpec":
+              tolerance=None, label: str = "") -> "ScenarioSpec":
         """Constructor accepting any rational-ish ``target``."""
         if analyzer not in ("smt", "fast", "auto"):
             raise ModelError(f"unknown analyzer kind {analyzer!r}")
         if search not in ("decision", "maximize"):
             raise ModelError(f"unknown search mode {search!r}")
-        if backend is not None and backend not in BACKENDS:
-            raise ModelError(f"unknown backend {backend!r}; "
-                             f"expected one of {BACKENDS}")
         if tolerance is not None:
             if search != "maximize":
                 raise ModelError(
@@ -175,8 +169,7 @@ class ScenarioSpec:
                    with_state_infection=with_state_infection,
                    max_candidates=max_candidates,
                    state_samples=state_samples, sample_seed=sample_seed,
-                   search=search, tolerance=tolerance_str,
-                   backend=backend, label=label)
+                   search=search, tolerance=tolerance_str, label=label)
 
     # -- resolution -----------------------------------------------------
 
@@ -196,10 +189,6 @@ class ScenarioSpec:
         if self.analyzer != "auto":
             return self.analyzer
         return "smt" if case.num_buses <= AUTO_SMT_MAX_BUSES else "fast"
-
-    def resolved_backend(self, case: CaseDefinition) -> str:
-        """The concrete linear-algebra backend ("dense" | "sparse")."""
-        return resolve_backend(self.backend, case.num_buses)
 
     def target_fraction(self) -> Optional[Fraction]:
         return None if self.target is None else Fraction(self.target)
@@ -247,7 +236,6 @@ class ScenarioSpec:
         key = {
             "case_text": write_case(case),
             "analyzer": self.resolved_analyzer(case),
-            "backend": self.resolved_backend(case),
             "with_state_infection": self.with_state_infection,
         }
         blob = json.dumps(key, sort_keys=True).encode()
@@ -264,7 +252,6 @@ class ScenarioSpec:
             "encoding": encoding_fingerprint(),
             "case_text": write_case(case),
             "analyzer": self.resolved_analyzer(case),
-            "backend": self.resolved_backend(case),
             "target": self.target,
             "with_state_infection": self.with_state_infection,
             "max_candidates": self.max_candidates,
